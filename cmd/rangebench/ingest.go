@@ -30,25 +30,17 @@ type IngestLoadRecord struct {
 	CoordBytesPerPoint float64 `json:"coord_bytes_per_point"`
 }
 
-// IngestStreamRecord compares the two streaming clients on the same
-// stream: the coordinator funnel (one synchronous resident call per
-// chunk over the session connections) against the rank-parallel direct
-// feeds (p independent connections, windowed in-flight chunks). Rates
-// are STAGING rates — reader through last acknowledgement — not
-// build-inclusive, since the level construct after staging is identical
-// on both paths. SpeedupX reflects how much feed pipelining and
-// per-rank sockets buy on this host: round-trip stalls and cross-rank
-// encode/decode overlap, so it grows with core count and network
-// latency and can sit near 1 on a single-core CPU-bound box.
+// IngestStreamRecord measures the rank-parallel streaming client: p
+// independent direct feeds with windowed in-flight chunks. The rate is
+// the STAGING rate — producer through last acknowledgement — not
+// build-inclusive, since the held construct after staging does not
+// depend on how the input arrived.
 type IngestStreamRecord struct {
 	N                  int     `json:"n"`
 	Chunk              int     `json:"chunk"`
 	Window             int     `json:"window"`
-	FunnelStageMs      float64 `json:"funnel_stage_ms"`
-	FunnelPtsPerSec    float64 `json:"funnel_points_per_sec"`
 	ParallelStageMs    float64 `json:"parallel_stage_ms"`
 	ParallelPtsPerSec  float64 `json:"parallel_points_per_sec"`
-	SpeedupX           float64 `json:"speedup_x"`
 	ParallelFeedCalls  int64   `json:"parallel_feed_calls"`
 	ParallelFeedPoints int64   `json:"parallel_feed_points"`
 }
@@ -207,7 +199,7 @@ func runIngestBench(n, p int) (*IngestRecord, error) {
 		}
 		s0 := stageWall()
 		t0 := time.Now()
-		tree, err := core.BulkLoadWith(mach, core.SliceChunks(streamPts, chunk), core.BackendLayered, cfg)
+		tree, err := core.BulkLoad(mach, core.SliceChunks(streamPts, chunk), core.BackendLayered, cfg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -224,42 +216,25 @@ func runIngestBench(n, p int) (*IngestRecord, error) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// Funnel vs rank-parallel staging rate on the identical stream, best
-	// of two alternated runs each.
-	timedLoad := func(cfg core.IngestConfig, what string) (time.Duration, error) {
-		best := time.Duration(0)
-		for rep := 0; rep < 2; rep++ {
-			settle()
-			stage, _, err := runLoad(cfg)
-			if err != nil {
-				return 0, fmt.Errorf("%s stream load: %w", what, err)
-			}
-			if best == 0 || stage < best {
-				best = stage
-			}
-		}
-		return best, nil
-	}
-	funnelStage, err := timedLoad(core.IngestConfig{Window: window, Funnel: true}, "funnel")
-	if err != nil {
-		return nil, err
-	}
+	// Rank-parallel staging rate, best of two runs.
 	calls0, points0 := feedCalls(), fedPoints()
-	parStage, err := timedLoad(core.IngestConfig{Window: window}, "parallel")
-	if err != nil {
-		return nil, err
+	parStage := time.Duration(0)
+	for rep := 0; rep < 2; rep++ {
+		settle()
+		stage, _, err := runLoad(core.IngestConfig{Window: window})
+		if err != nil {
+			return nil, fmt.Errorf("stream load: %w", err)
+		}
+		if parStage == 0 || stage < parStage {
+			parStage = stage
+		}
 	}
 	rec.Stream = IngestStreamRecord{
 		N: streamN, Chunk: chunk, Window: window,
-		FunnelStageMs:      float64(funnelStage.Microseconds()) / 1e3,
-		FunnelPtsPerSec:    float64(streamN) / funnelStage.Seconds(),
 		ParallelStageMs:    float64(parStage.Microseconds()) / 1e3,
 		ParallelPtsPerSec:  float64(streamN) / parStage.Seconds(),
 		ParallelFeedCalls:  (feedCalls() - calls0) / 2, // per rep; two reps ran
 		ParallelFeedPoints: (fedPoints() - points0) / 2,
-	}
-	if funnelStage > 0 && parStage > 0 {
-		rec.Stream.SpeedupX = funnelStage.Seconds() / parStage.Seconds()
 	}
 
 	// Serving fixture: a resident tree answering single-count queries.
@@ -268,7 +243,7 @@ func runIngestBench(n, p int) (*IngestRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	serveTree, err := core.BulkLoad(serveMach, core.SliceChunks(servePts, chunk), core.BackendLayered, window)
+	serveTree, err := core.BulkLoad(serveMach, core.SliceChunks(servePts, chunk), core.BackendLayered, core.IngestConfig{Window: window})
 	if err != nil {
 		return nil, err
 	}
@@ -392,9 +367,8 @@ func writeIngestJSON(path string) error {
 	}
 	fmt.Printf("ingest bench: file load coord bytes %d at n=%d vs %d at n=%d (growth %.2fx; O(p^2) wants ~1)\n",
 		rec.Loads[0].CoordBytes, rec.Loads[0].N, rec.Loads[1].CoordBytes, rec.Loads[1].N, rec.CoordGrowthX)
-	fmt.Printf("  stream n=%d chunk=%d: funnel %.2fM pts/s, rank-parallel %.2fM pts/s (%.1fx, %d feed calls)\n",
-		rec.Stream.N, rec.Stream.Chunk, rec.Stream.FunnelPtsPerSec/1e6, rec.Stream.ParallelPtsPerSec/1e6,
-		rec.Stream.SpeedupX, rec.Stream.ParallelFeedCalls)
+	fmt.Printf("  stream n=%d chunk=%d: rank-parallel %.2fM pts/s (%d feed calls)\n",
+		rec.Stream.N, rec.Stream.Chunk, rec.Stream.ParallelPtsPerSec/1e6, rec.Stream.ParallelFeedCalls)
 	fmt.Printf("  serve idle p50/p99 %.0f/%.0f us (%d queries, probe every %.0f us)\n",
 		rec.IdleP50Us, rec.IdleP99Us, rec.QueriesIdle, rec.ProbeIntervalUs)
 	for _, s := range rec.Serve {

@@ -114,7 +114,8 @@ type ClusterWorker = transport.Worker
 func StartWorker(addr string) (*ClusterWorker, error) { return transport.ListenAndServe(addr) }
 
 // DialCluster connects to running workers (one address per rank) and
-// returns the provider the Cluster… constructors build on.
+// returns the provider BuildDistributedOn and OpenStore (via
+// StoreConfig.Provider) build on.
 func DialCluster(addrs []string, cfg MachineConfig) (*Cluster, error) {
 	return transport.DialCluster(addrs, cfg)
 }
@@ -175,45 +176,17 @@ const (
 // BuildDistributed runs Algorithm Construct on the machine and returns the
 // distributed range tree (Theorem 2: O(s/p) local work plus a constant
 // number of h-relations), with forest elements on the default layered
-// backend.
+// backend. The machine picks the construct path: a fabric machine runs
+// every phase coordinator-fed, a resident one stages the canonical n/p
+// blocks into the ranks and runs every phase held (DESIGN.md §11).
 func BuildDistributed(m *Machine, pts []Point) *Tree { return core.Build(m, pts) }
-
-// BuildDistributedWith runs Algorithm Construct with an explicit element
-// backend.
-func BuildDistributedWith(m *Machine, pts []Point, be ElemBackend) *Tree {
-	return core.BuildBackend(m, pts, be)
-}
 
 // BuildDistributedOn runs Algorithm Construct on a machine supplied by
 // the provider (local simulator or TCP cluster), with the default
-// layered element backend.
+// layered element backend. A machine abort (e.g. a worker lost
+// mid-construct) comes back as the error.
 func BuildDistributedOn(pv MachineProvider, pts []Point) (*Tree, error) {
 	return core.BuildOn(pv, pts, core.BackendLayered)
-}
-
-// ClusterBuild runs Algorithm Construct on a machine whose supersteps
-// run over the cluster's TCP workers.
-func ClusterBuild(cl *Cluster, pts []Point) (*Tree, error) {
-	return core.BuildOn(cl, pts, core.BackendLayered)
-}
-
-// ClusterEngine builds a distributed tree on the cluster and wraps it in
-// a serving engine: micro-batched queries whose machine runs execute on
-// the worker processes.
-func ClusterEngine(cl *Cluster, pts []Point, cfg EngineConfig) (*Engine[struct{}], error) {
-	t, err := ClusterBuild(cl, pts)
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(t, cfg), nil
-}
-
-// ClusterOpenStore opens a mutable store whose level trees are built and
-// queried on the cluster's workers (cfg.Provider and cfg.P are
-// overridden by the cluster).
-func ClusterOpenStore(cl *Cluster, dir string, cfg StoreConfig) (*Store, error) {
-	cfg.Provider = cl
-	return store.Open(dir, cfg)
 }
 
 // Worker-direct streaming ingest (DESIGN.md §11): workers feed the
@@ -232,33 +205,17 @@ type ChunkSource = core.ChunkSource
 // fixed-size chunks.
 func SliceChunks(pts []Point, chunk int) ChunkSource { return core.SliceChunks(pts, chunk) }
 
-// BuildWorkerFed runs Algorithm Construct with worker-held input: on a
-// resident machine the points are staged into the workers first and
-// every construction exchange stays on the worker mesh; on a fabric
-// machine it is identical to BuildDistributedWith.
-func BuildWorkerFed(m *Machine, pts []Point, be ElemBackend) *Tree {
-	return core.BuildWorkerFed(m, pts, be)
-}
-
-// BulkLoadStream streams chunks into the machine's workers (window
-// chunks in flight per rank; window ≤ 0 selects the default) and
-// constructs the tree worker-fed. On a cluster machine each rank is fed
-// over its own direct connection (rank-parallel ingest, DESIGN.md §13);
-// use BulkLoadStreamWith for the QoS share cap or the funnel baseline.
-func BulkLoadStream(m *Machine, src ChunkSource, window int) (*Tree, error) {
-	return core.BulkLoad(m, src, core.BackendLayered, window)
-}
-
-// IngestConfig parametrises BulkLoadStreamWith: the per-rank in-flight
-// window, the MaxShare QoS cap on the fraction of worker time the
-// ingest may consume, and the Funnel fallback that routes every chunk
-// through the coordinator's control connections.
+// IngestConfig parametrises BulkLoadStream: the per-rank in-flight
+// window (≤ 0 selects the default) and the MaxShare QoS cap on the
+// fraction of worker time the ingest may consume.
 type IngestConfig = core.IngestConfig
 
-// BulkLoadStreamWith is BulkLoadStream with explicit ingest
-// configuration (window, QoS share cap, funnel fallback).
-func BulkLoadStreamWith(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
-	return core.BulkLoadWith(m, src, core.BackendLayered, cfg)
+// BulkLoadStream builds a tree from a chunk stream. On a resident
+// machine each rank is fed over its own direct connection (rank-parallel
+// ingest, DESIGN.md §13) and the tree is built held; on a fabric machine
+// the stream is accumulated and built coordinator-fed.
+func BulkLoadStream(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
+	return core.BulkLoad(m, src, core.BackendLayered, cfg)
 }
 
 // BulkLoadFile builds a tree from a points file (SavePointsFile layout):

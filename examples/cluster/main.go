@@ -59,7 +59,7 @@ func main() {
 
 	// Step 2: run Algorithm Construct over TCP — every sort, route and
 	// broadcast superstep physically crosses the worker mesh.
-	tcpTree, err := drtree.ClusterBuild(cluster, pts)
+	tcpTree, err := drtree.BuildDistributedOn(cluster, pts)
 	if err != nil {
 		log.Fatalf("cluster build: %v", err)
 	}
@@ -92,10 +92,11 @@ func main() {
 
 	// Step 4: serve single queries from the cluster through the engine
 	// (what `rangesearch -mode serve -workers …` does line by line).
-	eng, err := drtree.ClusterEngine(cluster, pts, drtree.EngineConfig{BatchSize: 16})
+	engTree, err := drtree.BuildDistributedOn(cluster, pts)
 	if err != nil {
-		log.Fatalf("cluster engine: %v", err)
+		log.Fatalf("cluster build for the engine: %v", err)
 	}
+	eng := drtree.NewEngine(engTree, drtree.EngineConfig{BatchSize: 16})
 	defer eng.Close()
 	hits := int64(0)
 	for _, b := range boxes[:16] {
@@ -111,15 +112,17 @@ func main() {
 
 	// Step 5: the same cluster, worker-RESIDENT: a second dial with
 	// Resident set makes every machine execute the registered SPMD
-	// programs against worker memory — the forest builds into and serves
-	// from the worker processes, and phase-B/C blocks never transit the
-	// coordinator. Answers and metrics must still be identical.
+	// programs against worker memory. The build stages the canonical n/p
+	// blocks over per-rank feeds and runs every construct phase held, so
+	// the forest builds into and serves from the worker processes, and
+	// neither routed points nor phase-B/C blocks transit the coordinator.
+	// Answers and metrics must still be identical.
 	resCluster, err := drtree.DialCluster(addrs, drtree.MachineConfig{Resident: true})
 	if err != nil {
 		log.Fatalf("dialing resident cluster: %v", err)
 	}
 	defer resCluster.Close()
-	resTree, err := drtree.ClusterBuild(resCluster, pts)
+	resTree, err := drtree.BuildDistributedOn(resCluster, pts)
 	if err != nil {
 		log.Fatalf("resident cluster build: %v", err)
 	}

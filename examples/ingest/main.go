@@ -1,15 +1,18 @@
-// Ingest: worker-direct bulk load — the same tree built three ways and
+// Ingest: worker-direct bulk load — the same tree built four ways and
 // the answers diffed one-to-one:
 //
 //  1. coordinator-fed (the baseline: drtree.BuildDistributed on the
-//     loopback simulator — all n points transit the coordinator),
+//     fabric loopback simulator — every phase's records transit the
+//     coordinator),
 //  2. partitioned files (each rank reads its own DRPF shard; the
 //     coordinator ships file paths, sampling splitters and control
 //     frames, never a point),
 //  3. the open-loop streaming client (chunks round-robin into the
-//     ranks through a bounded in-flight window) — run twice, once over
-//     the rank-parallel direct-to-worker feeds and once forced through
-//     the coordinator funnel, with the two staging rates compared.
+//     ranks over rank-parallel direct-to-worker feeds, each with a
+//     bounded in-flight window),
+//  4. an in-memory slice on the resident cluster (BuildDistributedOn:
+//     the canonical n/p blocks go out over the same feeds, then the
+//     construction runs held).
 //
 // By default the workers run in-process; pass -workers with a
 // comma-separated address list to drive external `rangeworker`
@@ -106,35 +109,25 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	streamTree, err := drtree.BulkLoadStream(streamMach, drtree.SliceChunks(pts, 256), 4)
+	streamTree, err := drtree.BulkLoadStream(streamMach, drtree.SliceChunks(pts, 256),
+		drtree.IngestConfig{Window: 4})
 	if err != nil {
 		log.Fatalf("streaming bulk load: %v", err)
 	}
-	parallelLoad := time.Since(t0)
-	fmt.Printf("stream load (rank-parallel feeds): %d points in chunks of 256, window 4\n", n)
+	fmt.Printf("stream load (rank-parallel feeds): %d points in chunks of 256, window 4, staged and built in %v\n",
+		n, time.Since(t0).Round(time.Millisecond))
 
-	// The same stream forced through the coordinator funnel — the
-	// baseline the direct feeds exist to beat. On a many-core machine or
-	// a real network the rank-parallel rate pulls ahead as p grows; on a
-	// single core both paths move the same bytes and the rates converge.
-	funnelMach, err := cluster.NewMachine()
+	// 4. An in-memory slice on the resident cluster: the machine stages
+	// the canonical blocks over the feeds and builds held.
+	sliceTree, err := drtree.BuildDistributedOn(cluster, pts)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("slice build: %v", err)
 	}
-	t0 = time.Now()
-	funnelTree, err := drtree.BulkLoadStreamWith(funnelMach, drtree.SliceChunks(pts, 256),
-		drtree.IngestConfig{Window: 4, Funnel: true})
-	if err != nil {
-		log.Fatalf("funnel bulk load: %v", err)
-	}
-	funnelLoad := time.Since(t0)
-	fmt.Printf("stream load (coordinator funnel):  same stream, one synchronous pipe\n")
-	fmt.Printf("ingest rate: rank-parallel %.2f Mpts/s vs funnel %.2f Mpts/s (%.2fx)\n",
-		float64(n)/parallelLoad.Seconds()/1e6, float64(n)/funnelLoad.Seconds()/1e6,
-		funnelLoad.Seconds()/parallelLoad.Seconds())
+	fmt.Printf("slice build: %d points staged as canonical blocks, %d construct rounds\n",
+		n, sliceTree.Machine().Metrics().CommRounds())
 
 	// Diff every answer against the coordinator-fed baseline.
-	for name, tree := range map[string]*drtree.Tree{"files": fileTree, "stream": streamTree, "funnel": funnelTree} {
+	for name, tree := range map[string]*drtree.Tree{"files": fileTree, "stream": streamTree, "slice": sliceTree} {
 		counts := tree.CountBatch(boxes)
 		reports := tree.ReportBatch(boxes)
 		for q := range boxes {

@@ -35,6 +35,10 @@ type ResidentTransport interface {
 	// ExchangeResident runs one superstep whose column is consumed (and,
 	// when dep.Emit is set, whose deposit is produced) resident-side.
 	ExchangeResident(rank int, dep ResidentDeposit) (ResidentReply, error)
+	// OpenFeed opens a windowed feed of calls to ref against rank's
+	// resident state (feed.go) — the path every resident build stages
+	// its input through.
+	OpenFeed(rank int, ref exec.Ref, opt FeedOptions) (StepFeed, error)
 }
 
 // ResidentDeposit is one rank's contribution to a resident superstep.
@@ -122,20 +126,14 @@ func ResidentCall[A any, R any](m *Machine, rank int, ref exec.Ref, args A) (R, 
 
 // ExchangeCollect is a superstep whose deposit the program provides (as
 // typed rows, like Exchange) but whose assembled column is consumed by a
-// registered collect step where the rank's state lives; it returns the
-// collect step's reply. Exactly one communication round, with the same
-// label, stamp and element counts as Exchange of the same rows.
-func ExchangeCollect[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) R {
-	r, _ := ExchangeCollectRecv[T, A, R](pr, label, out, collect, cargs)
-	return r
-}
-
-// ExchangeCollectRecv is ExchangeCollect returning the rank's received
-// element count alongside the reply — the count a coordinator-side
-// Exchange of the same rows would have observed locally. The fused
-// route-and-serve supersteps use it to keep SearchStats.Served exact
-// without a separate accounting round.
-func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) (R, int) {
+// registered collect step where the rank's state lives. It returns the
+// collect step's reply and the rank's received element count — the count
+// a coordinator-side Exchange of the same rows would have observed
+// locally, which keeps the fused route-and-serve supersteps' served
+// counts exact without a separate accounting round. Exactly one
+// communication round, with the same label, stamp and element counts as
+// Exchange of the same rows.
+func ExchangeCollect[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) (R, int) {
 	m := pr.m
 	if len(out) != m.p {
 		panic(fmt.Sprintf("cgm: %s: out has %d destinations, machine has %d", label, len(out), m.p))

@@ -60,10 +60,16 @@ func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
 }
 
 // BuildBackend runs Algorithm Construct with an explicit element backend
-// (forest elements and their phase-B copies are built on it).
+// (forest elements and their phase-B copies are built on it). The machine
+// picks the construct path. A fabric machine hands each rank its
+// canonical n/p block and runs every phase coordinator-fed. A resident
+// machine first stages the same canonical blocks into the ranks over
+// their feeds and then runs every phase held, so no routed point or
+// S^(j+1) record crosses the coordinator. Both paths fold identical
+// round/h/volume metrics. A machine abort panics (the cgm contract);
+// BuildOn returns it as an error.
 func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
-	n := len(pts)
-	if n == 0 {
+	if len(pts) == 0 {
 		panic("core: empty point set")
 	}
 	dims := pts[0].Dims()
@@ -75,31 +81,52 @@ func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
 			panic(fmt.Sprintf("core: point %d has %d dims, want %d", i, p.Dims(), dims))
 		}
 	}
-	return BuildFromSource(mach, sliceSource{pts: pts, dims: dims}, be)
-}
-
-// BuildWorkerFed builds from a coordinator-held slice but feeds the
-// workers directly when the machine is resident: the canonical blocks are
-// staged into the ranks' parts first, then construction runs as the
-// resident program with only sampling traffic transiting the coordinator.
-// On a fabric machine it is exactly BuildBackend. Canonical staging keeps
-// the round/h/volume metrics identical to BuildBackend's, which is what
-// lets the store compactor switch paths without perturbing measurements.
-func BuildWorkerFed(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
 	if !mach.Resident() {
-		return BuildBackend(mach, pts, be)
+		return runConstruct(mach, pts, len(pts), dims, be)
 	}
-	src, err := StageBlocks(mach, CanonicalBlocks(pts, mach.P()))
-	if err != nil {
-		panic(fmt.Sprintf("core: staging worker blocks: %v", err))
+	if err := stageSlice(mach, pts); err != nil {
+		panic(err.Error())
 	}
-	return BuildFromSource(mach, src, be)
+	return runConstruct(mach, nil, len(pts), dims, be)
 }
 
-// newTreeShell allocates the Tree scaffolding every build path shares.
-func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
+// BuildOn runs Algorithm Construct on a machine supplied by the provider
+// — the seam that lets the same construction run on the in-process
+// simulator (cgm.LocalProvider) or on a TCP worker cluster
+// (transport.Cluster) without the caller holding a machine. A machine
+// abort (e.g. a worker lost mid-construct) comes back as the error, and
+// the poisoned machine is closed.
+func BuildOn(pv cgm.Provider, pts []geom.Point, be Backend) (*Tree, error) {
+	mach, err := pv.NewMachine()
+	if err != nil {
+		return nil, fmt.Errorf("core: provider machine: %w", err)
+	}
+	t, err := catchAbort(func() *Tree { return BuildBackend(mach, pts, be) })
+	if err != nil {
+		mach.Close()
+		return nil, err
+	}
+	return t, nil
+}
+
+// catchAbort runs a build, returning a machine abort — a panic by the cgm
+// contract — as an error, so a caller can fail fast and retry on a fresh
+// machine.
+func catchAbort(build func() *Tree) (t *Tree, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: build aborted: %v", r)
+		}
+	}()
+	return build(), nil
+}
+
+// runConstruct runs Algorithm Construct over n dims-dimensional points:
+// pts' canonical blocks on a fabric machine, the points already staged
+// in the ranks (pts nil) on a resident one.
+func runConstruct(mach *cgm.Machine, pts []geom.Point, n, dims int, be Backend) *Tree {
 	p := mach.P()
-	return &Tree{
+	t := &Tree{
 		mach:       mach,
 		n:          n,
 		dims:       dims,
@@ -109,22 +136,22 @@ func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
 		procs:      make([]*procState, p),
 		lastCopied: make([]atomic.Int64, p),
 	}
-}
-
-// BuildOn runs Algorithm Construct on a machine supplied by the provider
-// — the seam that lets the same construction run on the in-process
-// simulator (cgm.LocalProvider) or on a TCP worker cluster
-// (transport.Cluster) without the caller holding a machine.
-func BuildOn(pv cgm.Provider, pts []geom.Point, be Backend) (*Tree, error) {
-	mach, err := pv.NewMachine()
-	if err != nil {
-		return nil, fmt.Errorf("core: provider machine: %w", err)
+	seeded := make([]int, p)
+	mach.Run(func(pr *cgm.Proc) { t.construct(pr, pts, seeded) })
+	if t.resident {
+		got := 0
+		for _, c := range seeded {
+			got += c
+		}
+		if got != n {
+			panic(fmt.Sprintf("core: ranks seeded %d staged points, want %d", got, n))
+		}
 	}
-	return BuildBackend(mach, pts, be), nil
+	return t
 }
 
 // construct is the per-processor body of Algorithm Construct.
-func (t *Tree) construct(pr *cgm.Proc, src PointSource, seeded []int) {
+func (t *Tree) construct(pr *cgm.Proc, pts []geom.Point, seeded []int) {
 	rank, p := pr.Rank(), pr.P()
 	ps := &procState{
 		rank:      rank,
@@ -134,21 +161,15 @@ func (t *Tree) construct(pr *cgm.Proc, src PointSource, seeded []int) {
 		copyCache: make(map[ElemID]*element),
 	}
 	t.procs[rank] = ps
+	var nextElem ElemID
 	if t.resident {
-		// Reset the rank's resident part: this machine's forest is about
-		// to be built into it (a reused session must not merge forests).
-		// Staged ingest blocks survive the reset — they are this build's
-		// input.
+		// Reset the rank's resident part (a reused session must not merge
+		// forests; the staged block survives — it is this build's input),
+		// seed the S^0 records where the points live, and run the held
+		// phases: the point payloads never visit the coordinator.
 		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
-	}
-
-	if t.resident && src.Held() {
-		// The rank's block is already staged worker-side: seed the S^0
-		// records where the points live and run the held phases — the
-		// point payloads never visit the coordinator.
 		seeded[rank] = cgm.CallResident[seedArgs, int](pr, fref("construct/seed"),
 			seedArgs{Dims: int8(t.dims)})
-		var nextElem ElemID
 		for j := 0; j < t.dims; j++ {
 			nextElem = t.constructPhaseHeld(pr, ps, j, nextElem)
 		}
@@ -157,13 +178,11 @@ func (t *Tree) construct(pr *cgm.Proc, src PointSource, seeded []int) {
 
 	// Step 1: each processor starts with an arbitrary block of n/p points;
 	// every initial record belongs to the primary tree (index nil).
-	block := src.Block(rank, p)
-	recs := make([]srec, 0, len(block))
-	for _, pt := range block {
+	lo, hi := queryBlock(rank, len(pts), p)
+	recs := make([]srec, 0, hi-lo)
+	for _, pt := range pts[lo:hi] {
 		recs = append(recs, srec{Pt: pt, Key: segtree.RootPathKey})
 	}
-
-	var nextElem ElemID
 	for j := 0; j < t.dims; j++ {
 		recs, nextElem = t.constructPhase(pr, ps, recs, j, nextElem)
 	}
@@ -184,9 +203,9 @@ func srecLess(j int) func(a, b srec) bool {
 	}
 }
 
-// constructPhase builds all dimension-j segment trees: the hat layer
-// replicated everywhere and the forest elements at their owners. It
-// returns the records of S^(j+1).
+// constructPhase builds all dimension-j segment trees on a fabric
+// machine: the hat layer replicated everywhere and the forest elements at
+// their owners. It returns the records of S^(j+1).
 func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, nextElem ElemID) ([]srec, ElemID) {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
@@ -200,7 +219,7 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 	allRuns := comm.AllGatherFlat(pr, lbl("runs"), keyRuns(sorted))
 	trees := deriveTrees(allRuns)
 
-	nStubs, myInfos := t.enumerateStubs(pr, ps, trees, j, nextElem)
+	nStubs, _ := t.enumerateStubs(pr, ps, trees, j, nextElem)
 
 	// Step 3: route every record to the owner of the element containing
 	// its global position.
@@ -212,25 +231,12 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 	// Step 4: sequentially construct the owned forest elements. Records
 	// arrive rank-major and sorted within each source; element point sets
 	// occupy contiguous global ranges, so concatenation is leaf order.
-	// On a resident machine the same route superstep delivers its column
-	// to the construct/install step instead: the elements are built
-	// directly into the rank's resident state (worker memory over TCP)
-	// and only the stub metadata comes back.
-	var metas []elemMeta
-	var grouped map[ElemID][]geom.Point
-	if t.resident {
-		metas = cgm.ExchangeCollect[epoint, constructInstallArgs, []elemMeta](
-			pr, lbl("route"), out, fref("construct/install"),
-			constructInstallArgs{Backend: t.backend, Infos: myInfos})
-	} else {
-		incoming := cgm.Exchange(pr, lbl("route"), out)
-		var err error
-		grouped, metas, err = buildForestElements(t.backend,
-			func(id ElemID) (ElemInfo, bool) { return ps.info[int(id)], true }, // dense ids: index == id
-			incoming, func(el *element) { ps.elems[el.info.ID] = el })
-		if err != nil {
-			panic(err.Error())
-		}
+	incoming := cgm.Exchange(pr, lbl("route"), out)
+	grouped, metas, err := buildForestElements(t.backend,
+		func(id ElemID) (ElemInfo, bool) { return ps.info[int(id)], true }, // dense ids: index == id
+		incoming, func(el *element) { ps.elems[el.info.ID] = el })
+	if err != nil {
+		panic(err.Error())
 	}
 
 	// Steps 4–5: all-to-all broadcast of the forest roots (the hat's
@@ -239,29 +245,24 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 
 	// Step 7: create S^(j+1): every record walks from its stub's parent to
 	// the root of its segment tree, creating one record per hat-internal
-	// ancestor u with index path(u). Resident machines compute the records
-	// where the points live and return them for the next phase's sort.
+	// ancestor u with index path(u).
 	var next []srec
 	if j+1 < t.dims {
-		if t.resident {
-			next = cgm.CallResident[nextArgs, []srec](pr, fref("construct/next"), nextArgs{Dim: int8(j)})
-		} else {
-			for _, id := range sortedElemIDs(grouped) {
-				next = nextDimRecords(ps.elems[id], next)
-			}
+		for _, id := range sortedElemIDs(grouped) {
+			next = nextDimRecords(ps.elems[id], next)
 		}
 	}
 	return next, nextElem + ElemID(nStubs)
 }
 
-// constructPhaseHeld is constructPhase with the S^j records held in the
-// ranks' resident parts: the sample sort's local phases, the record
+// constructPhaseHeld is constructPhase on a resident machine, with the
+// S^j records held in the ranks' resident parts: the sample sort's local phases, the record
 // exchanges and the element routing all run as registered program steps,
 // while the coordinator's collectives carry only the p² regular samples,
 // the splitters, the run/offset counts and the replicated stub metadata —
 // O(p²) per phase, independent of n. The label sequence and per-rank
 // element counts are identical to constructPhase's, so a canonically
-// staged build produces byte-identical Metrics.
+// staged build folds byte-identical Metrics.
 func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem ElemID) ElemID {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }

@@ -15,20 +15,21 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the worker-direct ingest path: the coordinator never
-// holds (or forwards) the point set. Chunks stream straight to each
-// rank's staging area — round-robined from a client ChunkSource with a
-// bounded in-flight window, or read rank-locally from pointsfile slices
-// — and the held construction then runs entirely worker-side, the
-// coordinator contributing only the p² regular-sampling splitters and
-// control frames.
+// This file is the input half of every resident build: the coordinator
+// never forwards the point set through its session connections. Chunks
+// stream over per-rank feeds straight to each rank's staging area — a
+// slice as its canonical n/p blocks, a client ChunkSource round-robined
+// under a bounded in-flight window — or each rank reads its own
+// pointsfile slice, and the held construction then runs entirely
+// worker-side, the coordinator contributing only the p² regular-sampling
+// splitters and control frames.
 
 const (
 	// DefaultChunk is the streaming block size (points per ingest call).
 	DefaultChunk = 4096
 	// DefaultWindow is the per-rank bound on buffered chunks between the
-	// reader and each rank's feeder — the open-loop flow-control window.
-	// A slow rank backpressures the reader instead of growing the heap.
+	// producer and each rank's feeder — the open-loop flow-control window.
+	// A slow rank backpressures the producer instead of growing the heap.
 	DefaultWindow = 4
 )
 
@@ -81,104 +82,123 @@ func forEachRank(p int, f func(rank int) error) error {
 	return errors.Join(errs...)
 }
 
-// StageBlocks stages one explicit block per rank into the workers and
-// returns the held source describing them. The canonical split
-// (CanonicalBlocks) makes the subsequent build metric-identical to a
-// coordinator-fed BuildBackend of the concatenation.
-func StageBlocks(mach *cgm.Machine, blocks [][]geom.Point) (PointSource, error) {
-	p := mach.P()
-	if len(blocks) != p {
-		return nil, fmt.Errorf("core: staging %d blocks on a %d-rank machine", len(blocks), p)
+// CanonicalBlocks splits pts into the p contiguous blocks Construct step 1
+// assigns — the split every slice build stages, which keeps a held
+// build's metrics byte-identical to a coordinator-fed one.
+func CanonicalBlocks(pts []geom.Point, p int) [][]geom.Point {
+	blocks := make([][]geom.Point, p)
+	for rank := range blocks {
+		lo, hi := queryBlock(rank, len(pts), p)
+		blocks[rank] = pts[lo:hi]
 	}
-	dims, total := -1, 0
-	for _, blk := range blocks {
-		total += len(blk)
-		for _, pt := range blk {
-			if dims == -1 {
-				dims = pt.Dims()
-			}
-			if pt.Dims() != dims {
-				return nil, fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
-			}
-		}
-	}
-	if total == 0 {
-		return nil, errors.New("core: empty point set")
-	}
-	err := forEachRank(p, func(rank int) error {
-		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
-			return err
-		}
-		for blk := blocks[rank]; len(blk) > 0; {
-			c := min(len(blk), DefaultChunk)
-			if _, err := cgm.ResidentCall[ingestChunkArgs, int](mach, rank, fref("ingest/chunk"), ingestChunkArgs{Pts: blk[:c]}); err != nil {
-				return err
-			}
-			blk = blk[c:]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return stagedSource{dims: dims, total: total}, nil
-}
-
-// buildStaged runs the held construction over already-staged input,
-// converting a machine abort (worker death, skew) into an error so a
-// caller can fail fast and retry on a fresh machine.
-func buildStaged(mach *cgm.Machine, dims, total int, be Backend) (t *Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: worker-fed build aborted: %v", r)
-		}
-	}()
-	return BuildFromSource(mach, stagedSource{dims: dims, total: total}, be), nil
+	return blocks
 }
 
 // IngestConfig parametrises a streaming bulk load.
 type IngestConfig struct {
 	// Window is the per-rank bound on in-flight chunks (≤ 0 selects
-	// DefaultWindow): the flow-control window of the parallel feeds, and
-	// the reader→feeder channel depth either way.
+	// DefaultWindow): the flow-control window of each rank's feed, and
+	// the producer→feeder channel depth.
 	Window int
 	// MaxShare, in (0, 1), caps the fraction of worker wall-time the
 	// ingest may consume (cgm.ShareGovernor), so a bulk load time-shares
 	// with concurrent serving instead of starving it. Outside that range
 	// the load runs uncapped.
 	MaxShare float64
-	// Funnel forces the coordinator-funnel path — one synchronous
-	// resident call per chunk over the session's control connections —
-	// even when the machine supports rank-parallel feeds. It exists as
-	// the measured baseline (rangebench -ingest) and as a fallback knob.
-	Funnel bool
+}
+
+// stage streams point chunks into the ranks' staging areas of a resident
+// machine. produce hands every chunk to send with its destination rank.
+// Each rank has its own feeder goroutine draining a window-deep channel
+// into a DIRECT feed to the rank (feedRank), so a slow rank backpressures
+// the producer while the others keep streaming, and the coordinator's
+// session connections carry only the ingest-begin control calls. A feed
+// failure (worker death, step error) poisons the machine: the session
+// aborts with the diagnostic rather than surviving half-staged. A
+// producer error is returned after the feeds drained.
+func stage(mach *cgm.Machine, cfg IngestConfig, produce func(send func(rank int, blk []geom.Point)) error) error {
+	if cfg.Window <= 0 {
+		cfg.Window = DefaultWindow
+	}
+	p := mach.P()
+	feed := make([]chan []geom.Point, p)
+	for rank := range feed {
+		feed[rank] = make(chan []geom.Point, cfg.Window)
+	}
+	errs := make([]error, p)
+	sent := make([]int, p)   // points the producer handed each rank
+	staged := make([]int, p) // points each rank's feed acknowledged staging
+	stageT0 := time.Now()
+	var wg sync.WaitGroup
+	for rank := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
+		}()
+	}
+	srcErr := produce(func(rank int, blk []geom.Point) { feed[rank] <- blk })
+	for _, ch := range feed {
+		close(ch)
+	}
+	wg.Wait()
+	// Staging wall-time (producer + feeds through the last ack), distinct
+	// from the construct that follows — it is the phase the feed fabric
+	// and the QoS governor act on, and what rangebench -ingest reports as
+	// the ingest rate.
+	if reg := mach.Obs(); reg != nil {
+		reg.Counter("ingest_stage_wall_ns_total").Add(time.Since(stageT0).Nanoseconds())
+	}
+	if err := errors.Join(errs...); err != nil {
+		// A broken feed leaves the rank half-staged with chunks of unknown
+		// fate in flight: abort the session so every sibling feeder, and
+		// any later use of the machine, sees the diagnostic instead of
+		// building on the partial stage.
+		err = fmt.Errorf("core: bulk ingest: %w", err)
+		mach.Poison(err)
+		return err
+	}
+	if srcErr != nil {
+		return srcErr
+	}
+	for rank := range p {
+		if staged[rank] != sent[rank] {
+			err := fmt.Errorf("core: rank %d acknowledged %d staged points but the feed sent %d", rank, staged[rank], sent[rank])
+			mach.Poison(err)
+			return err
+		}
+	}
+	return nil
+}
+
+// stageSlice stages pts as the canonical n/p blocks. Chunks go out
+// round-robin across the ranks so every feed streams at once.
+func stageSlice(mach *cgm.Machine, pts []geom.Point) error {
+	blocks := CanonicalBlocks(pts, mach.P())
+	return stage(mach, IngestConfig{}, func(send func(int, []geom.Point)) error {
+		for more := true; more; {
+			more = false
+			for rank, blk := range blocks {
+				if len(blk) == 0 {
+					continue
+				}
+				c := min(len(blk), DefaultChunk)
+				send(rank, blk[:c])
+				blocks[rank] = blk[c:]
+				more = true
+			}
+		}
+		return nil
+	})
 }
 
 // BulkLoad streams src into the machine's workers and builds a tree from
-// the staged input, with the default window and no QoS cap — see
-// BulkLoadWith.
-func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, window int) (*Tree, error) {
-	return BulkLoadWith(mach, src, be, IngestConfig{Window: window})
-}
-
-// BulkLoadWith streams src into the machine's workers and builds a tree
-// from the staged input. Chunk i goes to rank i%p — the arbitrary
-// initial distribution Construct step 1 allows; the sample sort
-// normalizes it. Each rank has its own feeder goroutine with a
-// window-deep channel, so a slow rank backpressures the reader while the
-// others keep streaming.
-//
-// On a feed-capable machine (every resident transport in this repo) each
-// feeder holds a DIRECT connection to its rank pushing chunks under an
-// independent in-flight window — the coordinator's session connections
-// carry only the ingest-begin control calls and the construction's p²
-// splitters, so aggregate ingest bandwidth scales with p. A feed failure
-// (worker death, step error) poisons the machine: the session aborts
-// with the diagnostic rather than surviving half-staged. With cfg.Funnel
-// the chunks instead go as one synchronous resident call each over the
-// coordinator's connections. On a non-resident machine the stream is
-// accumulated and built coordinator-fed.
-func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
+// the staged input. Chunk i goes to rank i%p — the arbitrary initial
+// distribution Construct step 1 allows; the sample sort normalizes it —
+// over the ranks' direct feeds (stage), and the construction then runs
+// held. On a fabric machine the stream is accumulated and built
+// coordinator-fed.
+func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
 	if !mach.Resident() {
 		var pts []geom.Point
 		for {
@@ -194,97 +214,41 @@ func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConf
 		if len(pts) == 0 {
 			return nil, errors.New("core: bulk load delivered no points")
 		}
-		return buildRecovered(mach, pts, be)
+		return catchAbort(func() *Tree { return BuildBackend(mach, pts, be) })
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	parallel := !cfg.Funnel && mach.Feeds()
 	p := mach.P()
-	feed := make([]chan []geom.Point, p)
-	for rank := range feed {
-		feed[rank] = make(chan []geom.Point, cfg.Window)
-	}
-	errs := make([]error, p)
-	sent := make([]int, p)   // points the reader handed each rank
-	staged := make([]int, p) // points each rank's feed acknowledged staging
-	stageT0 := time.Now()
-	var wg sync.WaitGroup
-	for rank := range p {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if parallel {
-				errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
-				return
-			}
-			errs[rank] = funnelRank(mach, rank, feed[rank], &sent[rank])
-			staged[rank] = sent[rank]
-		}()
-	}
 	dims, total := -1, 0
-	var srcErr error
-read:
-	for i := 0; ; i++ {
-		blk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = err
-			break
-		}
-		if len(blk) == 0 {
-			continue
-		}
-		for _, pt := range blk {
-			if dims == -1 {
-				dims = pt.Dims()
+	err := stage(mach, cfg, func(send func(int, []geom.Point)) error {
+		for i := 0; ; i++ {
+			blk, err := src.Next()
+			if err == io.EOF {
+				return nil
 			}
-			if pt.Dims() != dims {
-				srcErr = fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
-				break read
+			if err != nil {
+				return err
 			}
+			if len(blk) == 0 {
+				continue
+			}
+			for _, pt := range blk {
+				if dims == -1 {
+					dims = pt.Dims()
+				}
+				if pt.Dims() != dims {
+					return fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
+				}
+			}
+			total += len(blk)
+			send(i%p, blk)
 		}
-		total += len(blk)
-		feed[i%p] <- blk
-	}
-	for _, ch := range feed {
-		close(ch)
-	}
-	wg.Wait()
-	// Staging wall-time (reader + feeds through the last ack), distinct
-	// from the construct that follows — it is the phase the feed fabric
-	// and the QoS governor act on, and what rangebench -ingest reports as
-	// the ingest rate.
-	if reg := mach.Obs(); reg != nil {
-		reg.Counter("ingest_stage_wall_ns_total").Add(time.Since(stageT0).Nanoseconds())
-	}
-	if err := errors.Join(errs...); err != nil {
-		err = fmt.Errorf("core: bulk ingest: %w", err)
-		if parallel {
-			// A broken feed leaves the rank half-staged with chunks of
-			// unknown fate in flight: abort the session so every sibling
-			// feeder, and any later use of the machine, sees the
-			// diagnostic instead of building on the partial stage.
-			mach.Poison(err)
-		}
+	})
+	if err != nil {
 		return nil, err
-	}
-	if srcErr != nil {
-		return nil, srcErr
-	}
-	for rank := range p {
-		if staged[rank] != sent[rank] {
-			err := fmt.Errorf("core: rank %d acknowledged %d staged points but the feed sent %d", rank, staged[rank], sent[rank])
-			mach.Poison(err)
-			return nil, err
-		}
 	}
 	if total == 0 {
 		return nil, errors.New("core: bulk load delivered no points")
 	}
-	return buildStaged(mach, dims, total, be)
+	return catchAbort(func() *Tree { return runConstruct(mach, nil, total, dims, be) })
 }
 
 // encodeChunk wire-encodes one ingest chunk into buf (appending), so a
@@ -299,7 +263,7 @@ func encodeChunk(buf []byte, blk []geom.Point) ([]byte, error) {
 // under the feed's in-flight window with one pooled encode buffer per
 // window slot, recycled as the rank acknowledges. It reports the rank's
 // final staged count from the last acknowledgement. After any failure it
-// keeps draining so the reader never blocks on a dead rank's window.
+// keeps draining so the producer never blocks on a dead rank's window.
 func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Point, sent *int) (err error, staged int) {
 	var sf cgm.StepFeed
 	if _, err = cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err == nil {
@@ -357,45 +321,6 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 	return err, staged
 }
 
-// funnelRank drains one rank's channel as synchronous resident calls
-// over the coordinator's session connection — the pre-feed baseline. One
-// pooled encode buffer serves all chunks (the call returns before the
-// next encode).
-func funnelRank(mach *cgm.Machine, rank int, ch <-chan []geom.Point, sent *int) error {
-	var err error
-	if _, err = cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
-		err = fmt.Errorf("core: rank %d ingest begin: %w", rank, err)
-	}
-	buf := wire.GetBuf()
-	defer func() { wire.PutBuf(buf) }()
-	// Keep draining after a failure so the reader never blocks on a dead
-	// rank's window — the load fails fast, not deadlocks.
-	for blk := range ch {
-		if err != nil {
-			continue
-		}
-		buf, err = encodeChunk(buf[:0], blk)
-		if err != nil {
-			continue
-		}
-		if _, err = cgm.ResidentCallRaw(mach, rank, fref("ingest/chunk"), buf); err == nil {
-			*sent += len(blk)
-		}
-	}
-	return err
-}
-
-// buildRecovered is BuildBackend with machine aborts converted to errors
-// (the non-resident fallbacks of the bulk-load entry points).
-func buildRecovered(mach *cgm.Machine, pts []geom.Point, be Backend) (t *Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: build aborted: %v", r)
-		}
-	}()
-	return BuildBackend(mach, pts, be), nil
-}
-
 // BulkLoadFile builds a tree from one pointsfile: the coordinator reads
 // only the 17-byte header; every rank reads its own record slice.
 func BulkLoadFile(mach *cgm.Machine, path string, be Backend) (*Tree, error) {
@@ -411,7 +336,7 @@ func BulkLoadFile(mach *cgm.Machine, path string, be Backend) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		return buildRecovered(mach, pts, be)
+		return catchAbort(func() *Tree { return BuildBackend(mach, pts, be) })
 	}
 	p := mach.P()
 	err = forEachRank(p, func(rank int) error {
@@ -431,7 +356,7 @@ func BulkLoadFile(mach *cgm.Machine, path string, be Backend) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildStaged(mach, dims, n, be)
+	return catchAbort(func() *Tree { return runConstruct(mach, nil, n, dims, be) })
 }
 
 // BulkLoadFiles builds a tree from one pointsfile per rank — the
@@ -455,7 +380,7 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 		if len(pts) == 0 {
 			return nil, errors.New("core: empty point set")
 		}
-		return buildRecovered(mach, pts, be)
+		return catchAbort(func() *Tree { return BuildBackend(mach, pts, be) })
 	}
 	counts := make([]int, p)
 	dims := make([]int, p)
@@ -488,5 +413,5 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 	if total == 0 {
 		return nil, errors.New("core: empty point set")
 	}
-	return buildStaged(mach, d, total, be)
+	return catchAbort(func() *Tree { return runConstruct(mach, nil, total, d, be) })
 }

@@ -12,20 +12,29 @@ import (
 	"repro/internal/workload"
 )
 
-// TestWorkerFedConstructEquivalence: a held construction — input staged
-// in the workers, sample sort and routing run as resident steps — must
-// produce identical answers AND identical round/h/volume metrics to the
-// coordinator-fed build of the same points.
+// TestWorkerFedConstructEquivalence: a construction the workers feed
+// themselves — every rank reads its own canonical slice of a points
+// file, then the build runs held — must produce identical answers AND
+// identical round/h/volume metrics to the coordinator-fed fabric build
+// of the same points. (Slice builds on a resident machine are pinned
+// against the fabric build by TestResidentEquivalenceLoopback.)
 func TestWorkerFedConstructEquivalence(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, d := range []int{2, 3} {
 			t.Run(fmt.Sprintf("p=%d/d=%d", p, d), func(t *testing.T) {
 				n, m := 400, 40
 				pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 7})
-				coordM := cgm.New(cgm.Config{P: p, Resident: true})
+				path := filepath.Join(t.TempDir(), "pts.drpf")
+				if err := pointsfile.Save(path, pts); err != nil {
+					t.Fatal(err)
+				}
+				coordM := cgm.New(cgm.Config{P: p})
 				heldM := cgm.New(cgm.Config{P: p, Resident: true})
 				coord := core.Build(coordM, pts)
-				held := core.BuildWorkerFed(heldM, pts, core.BackendLayered)
+				held, err := core.BulkLoadFile(heldM, path, core.BackendLayered)
+				if err != nil {
+					t.Fatalf("BulkLoadFile: %v", err)
+				}
 				if err := held.Verify(); err != nil {
 					t.Fatalf("worker-fed tree fails Verify: %v", err)
 				}
@@ -65,7 +74,7 @@ func TestBulkLoadStreaming(t *testing.T) {
 
 	for _, chunk := range []int{37, 5000} {
 		ldM := cgm.New(cgm.Config{P: p, Resident: true})
-		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.BackendLayered, 2)
+		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.BackendLayered, core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("chunk=%d: BulkLoad: %v", chunk, err)
 		}

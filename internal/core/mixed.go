@@ -74,7 +74,7 @@ func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquer
 	if r.agg != nil {
 		args.Agg = r.agg.h.name
 	}
-	rep, recv := cgm.ExchangeCollectRecv[subquery, mixedServeArgs, mixedServeReply](
+	rep, recv := cgm.ExchangeCollect[subquery, mixedServeArgs, mixedServeReply](
 		pr, label, routed, fref("search/routeMixed"), args)
 	r.count.pairs = append(r.count.pairs, rep.Counts...)
 	if len(rep.Aggs) > 0 {

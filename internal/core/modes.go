@@ -71,7 +71,7 @@ func (r *countRun) answerSub(s subquery) {
 }
 
 func (r *countRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	pairs, recv := cgm.ExchangeCollectRecv[subquery, bool, []qcount](
+	pairs, recv := cgm.ExchangeCollect[subquery, bool, []qcount](
 		pr, label, routed, fref("search/routeCount"), false)
 	r.pairs = append(r.pairs, pairs...)
 	return recv
@@ -296,7 +296,7 @@ func (r *assocRun[T]) answerSub(s subquery) {
 }
 
 func (r *assocRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	pairs, recv := cgm.ExchangeCollectRecv[subquery, aggPrepArgs, []qvalT[T]](
+	pairs, recv := cgm.ExchangeCollect[subquery, aggPrepArgs, []qvalT[T]](
 		pr, label, routed, fref("search/routeAgg"), aggPrepArgs{Name: r.h.name})
 	r.pairs = append(r.pairs, pairs...)
 	return recv
@@ -395,7 +395,7 @@ func (r *reportRun) answerSub(s subquery) {
 }
 
 func (r *reportRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	locals, recv := cgm.ExchangeCollectRecv[subquery, bool, []rlocal](
+	locals, recv := cgm.ExchangeCollect[subquery, bool, []rlocal](
 		pr, label, routed, fref("search/routeReport"), false)
 	r.locals = append(r.locals, locals...)
 	return recv

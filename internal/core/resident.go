@@ -25,11 +25,12 @@ import (
 //
 // On a resident machine (cgm.Config.Resident) the construct and search
 // pipelines keep their superstep structure on the coordinator — the hat
-// layer, the sorts, the demand/balance planning, the result collectives —
-// but every access to element state dispatches here: construction's
-// routed points are collected into worker memory (ExchangeCollect),
-// phase B ships copies worker-to-worker (ExchangeSteps), and phase C
-// serves subqueries where the trees live (CallResident), so only query
+// layer, the sample splitters, the demand/balance planning, the result
+// collectives — but every access to records and element state dispatches
+// here: construction stages its input into the ranks and runs held (the
+// sample sort, the routing and the element installs are steps over the
+// rank's records), phase B ships copies worker-to-worker (ExchangeSteps),
+// and phase C serves subqueries where the trees live, so only query
 // boxes and result blocks cross the coordinator's wire. On the loopback
 // transport the identical registered steps run in-process against the
 // machine's local state stores, which is what the cross-residency
@@ -124,8 +125,8 @@ type constructInstallArgs struct {
 	Infos   []ElemInfo
 }
 
-// nextArgs asks for the S^(j+1) records of the owned dimension-j
-// elements (Construct step 7, executed where the points live).
+// nextArgs asks the rank to turn its owned dimension-j elements into
+// its S^(j+1) records (Construct step 7, executed where the points live).
 type nextArgs struct {
 	Dim int8
 }
@@ -312,7 +313,6 @@ func init() {
 		},
 		Steps: map[string]exec.Step{
 			"construct/begin":     exec.Pure(constructBeginStep),
-			"construct/next":      exec.Pure(constructNextStep),
 			"construct/seed":      exec.Pure(constructSeedStep),
 			"construct/sortLocal": exec.Pure(sortLocalStep),
 			"construct/nextHeld":  exec.Pure(constructNextHeldStep),
@@ -464,12 +464,25 @@ func routeHeldStep(part *residentPart, c *exec.Ctx, args routeHeldArgs) ([][]epo
 	return out, nil, nil
 }
 
-// constructNextHeldStep is constructNextStep for a held construction: the
-// S^(j+1) records stay in the rank's record set instead of returning to
-// the coordinator; only the count crosses the seam.
+// constructNextHeldStep is Construct step 7 on the resident side: every
+// owned dimension-j element walks its hat-internal ancestors and emits
+// one S^(j+1) record per (ancestor, point). The records stay in the
+// rank's record set for the next phase's held sort; only the count
+// crosses the seam.
 func constructNextHeldStep(part *residentPart, _ *exec.Ctx, args nextArgs) (int, error) {
-	part.recs = nextRecords(part, args.Dim)
-	return len(part.recs), nil
+	var ids []ElemID
+	for id, el := range part.elems {
+		if el.info.Dim == args.Dim {
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
+	var next []srec
+	for _, id := range ids {
+		next = nextDimRecords(part.elems[id], next)
+	}
+	part.recs = next
+	return len(next), nil
 }
 
 // constructInstallStep is Construct step 4 on the resident side: the
@@ -486,30 +499,6 @@ func constructInstallStep(part *residentPart, _ *exec.Ctx, args constructInstall
 		func(id ElemID) (ElemInfo, bool) { info, ok := byID[id]; return info, ok },
 		incoming, func(el *element) { part.elems[el.info.ID] = el })
 	return metas, err
-}
-
-// nextRecords is Construct step 7's resident computation: every owned
-// dimension-j element walks its hat-internal ancestors and emits one
-// S^(j+1) record per (ancestor, point) — computed where the points live.
-func nextRecords(part *residentPart, dim int8) []srec {
-	var ids []ElemID
-	for id, el := range part.elems {
-		if el.info.Dim == dim {
-			ids = append(ids, id)
-		}
-	}
-	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-	var next []srec
-	for _, id := range ids {
-		next = nextDimRecords(part.elems[id], next)
-	}
-	return next
-}
-
-// constructNextStep returns the S^(j+1) records to the coordinator, whose
-// next phase sorts them (the coordinator-fed construction).
-func constructNextStep(part *residentPart, _ *exec.Ctx, args nextArgs) ([]srec, error) {
-	return nextRecords(part, args.Dim), nil
 }
 
 // shipGroupStep is the GroupLevel phase-B emit: the owner ships its whole

@@ -30,7 +30,7 @@ func (t *idTee) Next() ([]geom.Point, error) {
 // BulkLoad ingests a point stream as ONE new level in a single pass:
 // chunks stream open-loop into the workers' staging areas (bounded
 // in-flight window, backpressure via the ranks' own acknowledgements)
-// and the level tree is constructed worker-fed — on a resident cluster
+// and the level tree is constructed held — on a resident cluster
 // the coordinator handles only ingest chunks, the p² sample splitters
 // and control frames, never a routed point. Queries keep serving the
 // current version throughout; the loaded points become visible
@@ -65,7 +65,7 @@ func (s *Store) BulkLoad(src core.ChunkSource) (uint64, error) {
 	}
 	s.event("ingest_begin", "bulk load: streaming construct starting")
 	tee := &idTee{src: src}
-	built, err := core.BulkLoadWith(mach, tee, s.cfg.Backend,
+	built, err := core.BulkLoad(mach, tee, s.cfg.Backend,
 		core.IngestConfig{Window: core.DefaultWindow, MaxShare: s.cfg.IngestMaxShare})
 	if err != nil {
 		mach.Close()

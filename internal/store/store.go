@@ -630,7 +630,9 @@ func (s *Store) compactPass() bool {
 
 	if len(acc) > 0 {
 		start := time.Now()
-		built, err := s.buildLevel(acc)
+		// A fresh machine per level; a machine abort (e.g. a cluster
+		// losing a worker mid-build) comes back as the error.
+		built, err := core.BuildOn(s.cfg.Provider, acc, s.cfg.Backend)
 		if err != nil {
 			// Leave the snapshotted state untouched: the store keeps
 			// serving the published version, but mutations fail fast so
@@ -728,26 +730,4 @@ func (s *Store) compactPass() bool {
 func (s *Store) Compact() {
 	for s.compactPass() {
 	}
-}
-
-// buildLevel builds one level tree on a fresh machine from the store's
-// provider, converting machine aborts (panics by cgm contract — e.g. a
-// TCP cluster losing a worker mid-build) into errors the compactor can
-// record instead of crashing the process. On a resident machine the
-// points are staged into the workers first and the construction runs
-// held (BuildWorkerFed): the compactor's rebuild mass crosses the
-// coordinator once as raw ingest chunks and never again — every
-// sample-sort and routing exchange of the build stays on the worker
-// mesh.
-func (s *Store) buildLevel(pts []geom.Point) (t *core.Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("store: level build aborted: %v", r)
-		}
-	}()
-	mach, err := s.cfg.Provider.NewMachine()
-	if err != nil {
-		return nil, fmt.Errorf("store: level build machine: %w", err)
-	}
-	return core.BuildWorkerFed(mach, pts, s.cfg.Backend), nil
 }

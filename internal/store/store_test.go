@@ -445,7 +445,7 @@ func (poisonedProvider) Close() error { return nil }
 // TestRecoveryBuildFailureReturnsError: a provider whose builds abort
 // (a broken cluster) must fail Open with an error — the checkpoint
 // rebuild path has to convert machine aborts exactly like the
-// compactor's buildLevel does, never crash the process.
+// compactor's level builds do, never crash the process.
 func TestRecoveryBuildFailureReturnsError(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	rng := rand.New(rand.NewSource(13))

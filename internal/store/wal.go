@@ -214,10 +214,10 @@ func (s *Store) recover() error {
 		checkSeq = snap.Seq
 		s.seq = snap.Seq
 		if len(snap.Points) > 0 {
-			// buildLevel converts machine aborts (panics by cgm contract,
-			// e.g. a cluster worker dying mid-rebuild) into errors, so a
-			// bad cluster fails Open cleanly instead of crashing.
-			built, err := s.buildLevel(snap.Points)
+			// BuildOn returns machine aborts (e.g. a cluster worker dying
+			// mid-rebuild) as errors, so a bad cluster fails Open cleanly
+			// instead of crashing.
+			built, err := core.BuildOn(s.cfg.Provider, snap.Points, s.cfg.Backend)
 			if err != nil {
 				return fmt.Errorf("store: rebuilding checkpoint: %w", err)
 			}

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -487,5 +488,121 @@ func TestRetiredLevelSessionsClose(t *testing.T) {
 			t.Fatalf("worker holds %d sessions for %d live levels (retired levels leaked)", w.Sessions(), levels)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recordingProvider hands out the cluster's machines and remembers the
+// last one, so a test can inspect a machine BuildOn did not return.
+type recordingProvider struct {
+	*transport.Cluster
+	mach *cgm.Machine
+}
+
+func (rp *recordingProvider) NewMachine() (*cgm.Machine, error) {
+	m, err := rp.Cluster.NewMachine()
+	rp.mach = m
+	return m, err
+}
+
+// TestWorkerDeathMidBuildOnReturnsError: a worker lost while core.BuildOn
+// constructs on a resident cluster must come back as BuildOn's error,
+// naming the lost rank — never as a panic out of an error-returning API.
+// The machine is left poisoned (and closed), and every goroutine of the
+// build unwinds.
+func TestWorkerDeathMidBuildOnReturnsError(t *testing.T) {
+	const p, n, dead = 4, 30000, 2
+	workers, addrs := startWorkers(t, p)
+	cl, err := transport.DialCluster(addrs, cgm.Config{Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 3, Dist: workload.Uniform, Seed: 5})
+	base := runtime.NumGoroutine()
+
+	// Kill the worker once construct supersteps are flowing: staging
+	// runs as feed and step calls, so the superstep counter moves only
+	// after the held construct has started.
+	supersteps := workers[0].Obs().Counter("worker_supersteps_total")
+	stop := make(chan struct{})
+	killedAt := make(chan int64, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				killedAt <- -1
+				return
+			default:
+			}
+			if s := supersteps.Value(); s >= 2 {
+				workers[dead].Close()
+				killedAt <- s
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	rp := &recordingProvider{Cluster: cl}
+	type result struct {
+		tree  *core.Tree
+		err   error
+		panic any
+	}
+	done := make(chan result, 1)
+	go func() {
+		var res result
+		defer func() {
+			res.panic = recover()
+			done <- res
+		}()
+		res.tree, res.err = core.BuildOn(rp, pts, core.BackendLayered)
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("BuildOn deadlocked after losing a worker mid-construct")
+	}
+	close(stop)
+	if at := <-killedAt; at < 0 {
+		t.Fatal("the build finished before the kill; it was not mid-construct")
+	}
+	if res.panic != nil {
+		t.Fatalf("BuildOn panicked instead of returning the abort: %v", res.panic)
+	}
+	if res.err == nil {
+		t.Fatal("BuildOn with a dead worker reported success")
+	}
+	t.Logf("diagnostic: %v", res.err)
+	if msg := res.err.Error(); !strings.Contains(msg, fmt.Sprintf("rank %d", dead)) &&
+		!strings.Contains(msg, fmt.Sprintf("worker %d", dead)) {
+		t.Fatalf("error does not name the lost rank %d: %v", dead, res.err)
+	}
+
+	// The machine is poisoned: reuse fails fast with the original cause.
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), "earlier run") {
+				t.Fatalf("machine not poisoned after the aborted build: %v", r)
+			}
+		}()
+		rp.mach.Run(func(*cgm.Proc) {})
+	}()
+
+	// No leaked goroutines: staging feeders, rank goroutines and the
+	// machine's session all unwind.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if g := runtime.NumGoroutine(); g <= base+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked after the aborted build: %d > %d baseline\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

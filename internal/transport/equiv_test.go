@@ -267,3 +267,32 @@ func TestSingleWorkerCluster(t *testing.T) {
 		t.Error("round not counted")
 	}
 }
+
+// TestResidentBuildCoordBytesFlat pins the held construct's traffic
+// claim: a resident core.BuildOn stages its input over the per-rank
+// feeds and keeps every routed point and S^(j+1) record on the worker
+// mesh, so the coordinator carries only O(p²) samples, splitters, stub
+// metadata and control frames — doubling n must leave Cluster.CoordBytes
+// within 1.10× either way.
+func TestResidentBuildCoordBytesFlat(t *testing.T) {
+	const p, d = 4, 3
+	cl := startCluster(t, p, cgm.Config{Resident: true})
+	coordBytes := func(n int) int64 {
+		pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: 5})
+		out0, in0 := cl.CoordBytes()
+		tree, err := core.BuildOn(cl, pts, core.BackendLayered)
+		if err != nil {
+			t.Fatalf("n=%d build: %v", n, err)
+		}
+		out1, in1 := cl.CoordBytes()
+		tree.Machine().Close()
+		return (out1 - out0) + (in1 - in0)
+	}
+	small, large := coordBytes(4000), coordBytes(8000)
+	growth := float64(large) / float64(small)
+	t.Logf("coordinator bytes per build: %d at n=4000, %d at n=8000 (%.3fx)", small, large, growth)
+	if growth > 1.10 || growth < 1/1.10 {
+		t.Fatalf("doubling n moved coordinator bytes %.3fx (%d -> %d); a resident build must not route points through the coordinator",
+			growth, small, large)
+	}
+}

@@ -169,7 +169,7 @@ func (s *session) removeFeed(fc *fconn) {
 
 // OpenFeed dials rank's worker DIRECTLY (not the session's coordinator
 // conn) and binds the fresh connection as an ingest feed for this
-// session, making tcpTransport a cgm.FeedTransport. Feed traffic is
+// session, as cgm.ResidentTransport requires. Feed traffic is
 // deliberately excluded from CoordBytes — the whole point is that these
 // bytes no longer ride the coordinator's control plane — but it shows in
 // the per-kind frame stats as feed_open/feed_call/feed_ack rows.

@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -9,17 +11,22 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/pointsfile"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// TestWorkerFedEquivalence extends the cross-transport safety net to the
-// ingest tentpole: a worker-fed build (points staged into the ranks, the
-// whole construction run held in worker memory) must produce identical
-// answers AND identical round/h metrics to the canonical coordinator-fed
-// build — on every cell of the {loopback, TCP} × {fabric, resident}
-// matrix, plus the open-loop streaming client on the TCP resident cell.
+// TestWorkerFedEquivalence covers the resident builds whose input does
+// not come from a coordinator-held slice (slice builds are compared
+// against the fabric build in TestCrossTransportEquivalence). On every
+// cell of the {loopback, TCP} × {fabric, resident} matrix a load from
+// one points-file shard per rank — read by each rank itself on a
+// resident machine, by the coordinator on a fabric one — stages the
+// canonical n/p blocks, so its answers AND round/h metrics must equal
+// the coordinator-fed fabric build exactly. The open-loop streaming
+// client stages chunks in arrival order, so on the TCP resident cell it
+// must match the answers and the round structure.
 func TestWorkerFedEquivalence(t *testing.T) {
 	const p, n, m = 4, 500, 48
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
@@ -78,13 +85,25 @@ func TestWorkerFedEquivalence(t *testing.T) {
 		}
 	}
 
+	shards := make([]string, p)
+	dir := t.TempDir()
+	for rank, blk := range core.CanonicalBlocks(pts, p) {
+		shards[rank] = filepath.Join(dir, fmt.Sprintf("shard-%d.drpf", rank))
+		if err := pointsfile.Save(shards[rank], blk); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, v := range execVariants {
 		t.Run(v.name, func(t *testing.T) {
 			mach, err := v.provider(t, p).NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, v.name, core.BuildWorkerFed(mach, pts, core.BackendLayered), true)
+			tree, err := core.BulkLoadFiles(mach, shards, core.BackendLayered)
+			if err != nil {
+				t.Fatalf("%s shard load: %v", v.name, err)
+			}
+			check(t, v.name, tree, true)
 		})
 	}
 	t.Run("tcp/resident/stream", func(t *testing.T) {
@@ -93,7 +112,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.BackendLayered, 2)
+		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.BackendLayered, core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("streaming bulk load: %v", err)
 		}
@@ -119,7 +138,7 @@ func TestClusterIngestAndServeWithoutGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.BackendLayered, 2)
+	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.BackendLayered, core.IngestConfig{Window: 2})
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
@@ -200,7 +219,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tree, err := core.BulkLoad(mach, src, core.BackendLayered, 2)
+		tree, err := core.BulkLoad(mach, src, core.BackendLayered, core.IngestConfig{Window: 2})
 		done <- result{tree, err}
 	}()
 	var res result
@@ -222,7 +241,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	if _, err := cl.NewMachine(); err == nil {
 		mach2, _ := cl.NewMachine()
 		if mach2 != nil {
-			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.BackendLayered, 2); err == nil {
+			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.BackendLayered, core.IngestConfig{Window: 2}); err == nil {
 				t.Fatal("second bulk load on a degraded cluster succeeded")
 			}
 		}

@@ -469,7 +469,7 @@ func (s *session) superstep(dep *frame) error {
 			seen[msg.from] = true
 			column[msg.from] = msg.block
 		case <-s.quit:
-			return errors.New("transport: worker shutting down")
+			return fmt.Errorf("transport: rank %d worker shutting down", s.rank)
 		}
 	}
 	span("gather", gatherStart, s.w.now())
